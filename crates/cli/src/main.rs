@@ -105,13 +105,12 @@ COMMANDS:
                                                    mid-run, --fault-rate adds randomized component
                                                    chaos (repairs after mean --mttr, default 2)
               with --listen ADDR (e.g. 127.0.0.1:0) the command instead serves the admission
-              engine over TCP using the wdm-net wire protocol
+              engine over TCP using the wdm-net wire protocol, through the sharded epoll
+              reactor with adaptive batch coalescing (Linux)
               ([--backend crossbar|three-stage|three-stage-cas|awg-clos|graph] picks the
               fabric behind the same dyn-Backend engine, default three-stage; awg-clos
               needs k ≥ r; graph takes the same --topology/--mc-every/--splitting knobs
               as sim and enforces no bound);
-              [--serve-mode threads|reactor] picks the serving layer: thread-per-connection
-              (default) or the sharded epoll reactor with adaptive batch coalescing (Linux);
               [--addr-file PATH] writes the bound address (for port 0) and a client's Drain
               frame stops the server
   bench-net   --connect ADDR --n <n> --r <r> -k <λ> [--clients C] [--pipeline W]
@@ -122,15 +121,14 @@ COMMANDS:
                                                    and report admissions/sec plus latency
                                                    percentiles; --drain true (default) drains the
                                                    server at the end and asserts a clean report
-              with --serve-mode threads|reactor (no --connect) the command instead runs the
-              self-hosted concurrency sweep: an in-process crossbar server per rung of a
-              64, ×8, …, --connections ladder (default 10000), driven by the epoll load
-              generator ([--lanes L] total logical lanes, [--pipeline D], [--rounds R],
-              [--shards S]); writes per-cell throughput and latency percentiles to --out
-              (default BENCH_net.json) and enforces three gates: largest-cell p99 ≤
-              --p99-gate-ms (default 750), largest-cell admissions/sec ≥ the always-included
-              thread-server baseline at the smallest rung, and (reactor) mean coalesced
-              batch size growing with connection count
+              without --connect the command instead runs the self-hosted concurrency
+              sweep (Linux): a reactor server per rung of a 64, ×8, …, --connections
+              ladder (default 10000), driven by the epoll load generator ([--lanes L]
+              total logical lanes, [--pipeline D], [--rounds R], [--shards S]); writes
+              per-cell throughput and latency percentiles to --out (default
+              BENCH_net.json) and enforces three gates: largest-cell p99 ≤ --p99-gate-ms
+              (default 750), largest-cell admissions/sec ≥ 0.5 × the first rung's, and
+              mean coalesced batch size growing with connection count
   sim         --n <n> --r <r> [-k <λ>] [--m M]
               [--backend crossbar|three-stage|three-stage-cas|awg-clos|graph]
               [--steps S] [--shards S] [--seed X | --seeds COUNT] [--faulted] [--repack]
@@ -345,34 +343,14 @@ impl Opts {
     }
 }
 
-/// Serving layer behind `serve --listen` and the `bench-net` sweep:
-/// thread-per-connection, or the sharded epoll reactor (Linux only).
-#[derive(Clone, Copy, PartialEq)]
-enum ServeMode {
-    Threads,
-    #[cfg(target_os = "linux")]
-    Reactor,
-}
-
-impl std::fmt::Display for ServeMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServeMode::Threads => write!(f, "threads"),
-            #[cfg(target_os = "linux")]
-            ServeMode::Reactor => write!(f, "reactor"),
-        }
+/// `--serve-mode` once picked between two TCP servers. `Opts` ignores
+/// unknown flags, so a leftover `--serve-mode threads` would silently
+/// run a different server than asked for; refuse it instead.
+fn reject_serve_mode(opts: &Opts) -> Result<(), String> {
+    if opts.0.contains_key("serve-mode") {
+        return Err("--serve-mode was removed: the epoll reactor is now the only server".into());
     }
-}
-
-fn serve_mode(opts: &Opts) -> Result<ServeMode, String> {
-    match opts.0.get("serve-mode").map(String::as_str) {
-        None | Some("threads") => Ok(ServeMode::Threads),
-        #[cfg(target_os = "linux")]
-        Some("reactor") => Ok(ServeMode::Reactor),
-        #[cfg(not(target_os = "linux"))]
-        Some("reactor") => Err("--serve-mode reactor needs Linux (epoll)".into()),
-        Some(other) => Err(format!("unknown serve mode {other:?} (threads|reactor)")),
-    }
+    Ok(())
 }
 
 /// The AWG-Clos strictly nonblocking bound for a geometry, as a CLI
@@ -860,6 +838,7 @@ fn cmd_dot(opts: &Opts) -> Result<(), String> {
 /// network at (or away from) the theorem bound — and report the paper's
 /// operational metrics side by side.
 fn cmd_serve(opts: &Opts) -> Result<(), String> {
+    reject_serve_mode(opts)?;
     if opts.0.contains_key("listen") {
         return cmd_serve_net(opts);
     }
@@ -1241,13 +1220,14 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
 }
 
 /// `serve --listen ADDR`: front the three-stage admission engine with
-/// the wdm-net TCP server. Runs until a client sends a `Drain` frame,
+/// the wdm-net epoll reactor. Runs until a client sends a `Drain` frame,
 /// then prints the drained report; the exit code asserts a clean drain
 /// (and zero blocks when `m` is at the bound), so CI can `wait` on it.
+#[cfg(target_os = "linux")]
 fn cmd_serve_net(opts: &Opts) -> Result<(), String> {
     use std::time::Duration;
     use wdm_fabric::CrossbarSession;
-    use wdm_net::{NetServer, NetServerConfig};
+    use wdm_net::{ReactorConfig, ReactorServer};
     use wdm_runtime::{Backend, EngineBuilder, RuntimeConfig};
 
     let (kind, cas) = opts.backend(BackendKind::ThreeStage)?;
@@ -1329,7 +1309,6 @@ fn cmd_serve_net(opts: &Opts) -> Result<(), String> {
         )),
     };
     let engine = EngineBuilder::from_config(config).start(backend);
-    let mode = serve_mode(opts)?;
     let desc = match (p, kind) {
         (_, BackendKind::Graph { topology }) => format!("{topology} n={n} k={k} [{model}]"),
         (Some(p), _) => format!("{p} [{construction}, {model}]"),
@@ -1340,75 +1319,52 @@ fn cmd_serve_net(opts: &Opts) -> Result<(), String> {
         _ => format!("nonblocking bound m ≥ {bound_m}"),
     };
     let wire_label = if cas { "three-stage-cas" } else { kind.label() };
-    let banner = |addr: std::net::SocketAddr| -> Result<(), String> {
-        println!(
-            "serving {wire_label} {desc} on {addr} ({mode} serve mode, {workers} \
-             worker shards, {bound_str}); a client's Drain frame stops \
-             the server",
-        );
-        if let Some(path) = opts.0.get("addr-file") {
-            std::fs::write(path, addr.to_string()).map_err(|e| format!("write {path}: {e}"))?;
-        }
-        Ok(())
-    };
+    // Best-effort headroom for C10k-scale accept storms; the kernel caps
+    // unprivileged raises at the hard limit.
+    wdm_net::reactor::raise_nofile_limit(65_536);
+    let server = ReactorServer::serve(engine, listen.as_str(), ReactorConfig::default())
+        .map_err(|e| format!("bind {listen}: {e}"))?;
+    let addr = server.local_addr();
+    println!(
+        "serving {wire_label} {desc} on {addr} (epoll reactor, {workers} worker shards, \
+         {bound_str}); a client's Drain frame stops the server",
+    );
+    if let Some(path) = opts.0.get("addr-file") {
+        std::fs::write(path, addr.to_string()).map_err(|e| format!("write {path}: {e}"))?;
+    }
+    let metrics = server.metrics();
+    let report = server.wait();
+    let stats = metrics.snapshot();
+    println!(
+        "reactor: {} accepted, {} frames over {} wakeups, {} coalesced batches \
+         (mean {:.1} events), {} shed, {} protocol errors",
+        stats.accepted,
+        stats.frames,
+        stats.wakeups,
+        stats.coalesced_batches,
+        stats.coalesced_batch_mean,
+        stats.shed,
+        stats.protocol_errors,
+    );
     // `--stats-file` publishes serving-layer counters as one JSON line,
     // so a parent process (the `bench-net` sweep runs servers as
     // children to double its fd budget) can read them back.
-    let stats_file = opts.0.get("stats-file").cloned();
-    let write_stats = |json: String| -> Result<(), String> {
-        match &stats_file {
-            Some(path) => std::fs::write(path, json).map_err(|e| format!("write {path}: {e}")),
-            None => Ok(()),
-        }
-    };
-    let report = match mode {
-        ServeMode::Threads => {
-            let server = NetServer::serve(engine, listen.as_str(), NetServerConfig::default())
-                .map_err(|e| format!("bind {listen}: {e}"))?;
-            banner(server.local_addr())?;
-            let report = server.wait();
-            write_stats("{\"serve_mode\":\"threads\"}\n".into())?;
-            report
-        }
-        #[cfg(target_os = "linux")]
-        ServeMode::Reactor => {
-            use wdm_net::{ReactorConfig, ReactorServer};
-            // Best-effort headroom for C10k-scale accept storms; the
-            // kernel caps unprivileged raises at the hard limit.
-            wdm_net::reactor::raise_nofile_limit(65_536);
-            let server = ReactorServer::serve(engine, listen.as_str(), ReactorConfig::default())
-                .map_err(|e| format!("bind {listen}: {e}"))?;
-            banner(server.local_addr())?;
-            let metrics = server.metrics();
-            let report = server.wait();
-            let stats = metrics.snapshot();
-            println!(
-                "reactor: {} accepted, {} frames over {} wakeups, {} coalesced batches \
-                 (mean {:.1} events), {} shed, {} protocol errors",
-                stats.accepted,
-                stats.frames,
-                stats.wakeups,
-                stats.coalesced_batches,
-                stats.coalesced_batch_mean,
-                stats.shed,
-                stats.protocol_errors,
-            );
-            write_stats(format!(
-                "{{\"serve_mode\":\"reactor\",\"accepted\":{},\"frames\":{},\"wakeups\":{},\
-                 \"coalesced_batches\":{},\"coalesced_events\":{},\
-                 \"coalesced_batch_mean\":{:.4},\"shed\":{},\"protocol_errors\":{}}}\n",
-                stats.accepted,
-                stats.frames,
-                stats.wakeups,
-                stats.coalesced_batches,
-                stats.coalesced_events,
-                stats.coalesced_batch_mean,
-                stats.shed,
-                stats.protocol_errors,
-            ))?;
-            report
-        }
-    };
+    if let Some(path) = opts.0.get("stats-file") {
+        let json = format!(
+            "{{\"accepted\":{},\"frames\":{},\"wakeups\":{},\"coalesced_batches\":{},\
+             \"coalesced_events\":{},\"coalesced_batch_mean\":{:.4},\"shed\":{},\
+             \"protocol_errors\":{}}}\n",
+            stats.accepted,
+            stats.frames,
+            stats.wakeups,
+            stats.coalesced_batches,
+            stats.coalesced_events,
+            stats.coalesced_batch_mean,
+            stats.shed,
+            stats.protocol_errors,
+        );
+        std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
+    }
     let s = &report.summary;
     println!(
         "drained: offered {} admitted {} blocked {} expired {} departed {} (P(block) {:.4})",
@@ -1433,6 +1389,11 @@ fn cmd_serve_net(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
+#[cfg(not(target_os = "linux"))]
+fn cmd_serve_net(_opts: &Opts) -> Result<(), String> {
+    Err("serving over TCP needs Linux (epoll)".into())
+}
+
 /// `bench-net`: closed-loop load generator against a wdm-net server.
 /// Streams a closed, source-partitioned trace through `--clients`
 /// threads with a `--pipeline`-deep window each, and reports
@@ -1444,14 +1405,10 @@ fn cmd_bench_net(opts: &Opts) -> Result<(), String> {
     use wdm_net::{NetClient, Request, Response};
     use wdm_workload::{close_trace, partition_by_source, DynamicTraffic, TraceEvent};
 
-    if opts.0.contains_key("serve-mode") {
+    reject_serve_mode(opts)?;
+    let Some(addr) = opts.0.get("connect").cloned() else {
         return cmd_bench_net_sweep(opts);
-    }
-    let addr = opts
-        .0
-        .get("connect")
-        .ok_or("bench-net needs --connect <addr>")?
-        .clone();
+    };
     let n = opts.u32("n", None)?;
     let r = opts.u32("r", None)?;
     let k = opts.u32("k", Some(1))?;
@@ -1648,16 +1605,6 @@ fn cmd_bench_net(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// `bench-net --serve-mode …`: self-hosted concurrency sweep. Hosts a
-/// crossbar-backed server in-process at each rung of a connection-count
-/// ladder (64, ×8, …, `--connections`), drives every rung with the
-/// epoll load generator, and writes `BENCH_net.json`. A thread-server
-/// baseline at 64 connections always rides along; three gates make the
-/// sweep CI-enforceable: the largest cell's p99 stays under
-/// `--p99-gate-ms`, its admission rate is at least the thread baseline,
-/// and (reactor mode) the mean coalesced batch grows with connection
-/// count — the adaptive-coalescing claim, measured.
-#[cfg(target_os = "linux")]
 /// Extract a bare numeric field from one line of hand-rolled JSON —
 /// the sweep reads the server child's `--stats-file` without a JSON
 /// dependency.
@@ -1670,11 +1617,26 @@ fn json_number_field(json: &str, key: &str) -> Option<f64> {
     rest[..end].trim().parse().ok()
 }
 
+/// The throughput gate's floor: the top rung must sustain at least this
+/// share of the first rung's (64 connections) admission rate in the
+/// same run. 10k-connection sweeps on a 2-core host read 0.66–1.20.
+#[cfg(target_os = "linux")]
+const TOP_RUNG_MIN_SHARE: f64 = 0.5;
+
+/// `bench-net` without `--connect`: self-hosted concurrency sweep.
+/// Hosts a reactor server in a child process at each rung of a
+/// connection-count ladder (64, ×8, …, `--connections`), drives every
+/// rung with the epoll load generator, and writes `BENCH_net.json`.
+/// Three gates make the sweep CI-enforceable: the largest cell's p99
+/// stays under `--p99-gate-ms`, its admission rate is at least
+/// [`TOP_RUNG_MIN_SHARE`] of the first rung's, and the mean coalesced
+/// batch grows with connection count — the adaptive-coalescing claim,
+/// measured.
+#[cfg(target_os = "linux")]
 fn cmd_bench_net_sweep(opts: &Opts) -> Result<(), String> {
     use wdm_net::reactor::raise_nofile_limit;
     use wdm_net::{ClientConfig, LoadConfig, LoadReport, NetClient, Response};
 
-    let mode = serve_mode(opts)?;
     opts.model()?; // validate; forwarded verbatim to the server child
     let connections = opts.u32("connections", Some(10_000))?.max(1) as usize;
     let lanes_total = opts.u32("lanes", Some(connections as u32))?.max(1) as usize;
@@ -1723,7 +1685,7 @@ fn cmd_bench_net_sweep(opts: &Opts) -> Result<(), String> {
         ));
     }
     println!(
-        "bench-net sweep: {mode} serve mode up to {connections} connections × {lanes_per_conn} \
+        "bench-net sweep: epoll reactor up to {connections} connections × {lanes_per_conn} \
          lanes (three-stage {module}×{modules} of {wavelengths} wavelengths at the Theorem-1 \
          bound, pipeline {pipeline}, fd limit {fd_limit}, server per cell in a child process)"
     );
@@ -1738,7 +1700,6 @@ fn cmd_bench_net_sweep(opts: &Opts) -> Result<(), String> {
     ladder.push(connections);
 
     struct Cell {
-        mode: String,
         connections: usize,
         lanes: usize,
         rounds: usize,
@@ -1756,7 +1717,7 @@ fn cmd_bench_net_sweep(opts: &Opts) -> Result<(), String> {
 
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let model_flag = opts.0.get("model").cloned();
-    let run_cell = |mode: ServeMode, conns: usize| -> Result<Cell, String> {
+    let run_cell = |conns: usize| -> Result<Cell, String> {
         use std::time::{Duration, Instant};
         let lanes = conns * lanes_per_conn;
         let rounds = rounds_for(lanes);
@@ -1775,7 +1736,7 @@ fn cmd_bench_net_sweep(opts: &Opts) -> Result<(), String> {
         // writes its bound address to `addr_file` at startup and its
         // serving-layer counters to `stats_file` after the drain stops
         // it.
-        let tag = format!("wdmcast-bench-{}-{mode}-{conns}", std::process::id());
+        let tag = format!("wdmcast-bench-{}-{conns}", std::process::id());
         let addr_file = std::env::temp_dir().join(format!("{tag}.addr"));
         let stats_file = std::env::temp_dir().join(format!("{tag}.stats"));
         let _ = std::fs::remove_file(&addr_file);
@@ -1787,7 +1748,6 @@ fn cmd_bench_net_sweep(opts: &Opts) -> Result<(), String> {
             .args(["--k", &wavelengths.to_string()])
             .args(["--workers", &shards.to_string()])
             .args(["--listen", "127.0.0.1:0"])
-            .args(["--serve-mode", &mode.to_string()])
             .arg("--addr-file")
             .arg(&addr_file)
             .arg("--stats-file")
@@ -1859,22 +1819,14 @@ fn cmd_bench_net_sweep(opts: &Opts) -> Result<(), String> {
             if !status.success() {
                 return Err(format!("{conns}-connection server exited with {status}"));
             }
-            let batch_mean = match mode {
-                ServeMode::Threads => 0.0,
-                ServeMode::Reactor => {
-                    let stats = std::fs::read_to_string(&stats_file)
-                        .map_err(|e| format!("read server stats: {e}"))?;
-                    let frames = json_number_field(&stats, "frames").unwrap_or(0.0);
-                    let wakeups = json_number_field(&stats, "wakeups").unwrap_or(0.0);
-                    let shed = json_number_field(&stats, "shed").unwrap_or(0.0);
-                    println!(
-                        "    server: {frames:.0} frames over {wakeups:.0} wakeups \
-                         ({shed:.0} shed)"
-                    );
-                    json_number_field(&stats, "coalesced_batch_mean")
-                        .ok_or_else(|| format!("no coalesced_batch_mean in {stats:?}"))?
-                }
-            };
+            let stats = std::fs::read_to_string(&stats_file)
+                .map_err(|e| format!("read server stats: {e}"))?;
+            let frames = json_number_field(&stats, "frames").unwrap_or(0.0);
+            let wakeups = json_number_field(&stats, "wakeups").unwrap_or(0.0);
+            let shed = json_number_field(&stats, "shed").unwrap_or(0.0);
+            println!("    server: {frames:.0} frames over {wakeups:.0} wakeups ({shed:.0} shed)");
+            let batch_mean = json_number_field(&stats, "coalesced_batch_mean")
+                .ok_or_else(|| format!("no coalesced_batch_mean in {stats:?}"))?;
             Ok((report, batch_mean))
         };
         let result = body(&mut child);
@@ -1886,12 +1838,12 @@ fn cmd_bench_net_sweep(opts: &Opts) -> Result<(), String> {
         let _ = std::fs::remove_file(&stats_file);
         let (report, batch_mean) = result?;
         println!(
-            "  {mode}@{conns}: {:.0} admissions/s over {} requests (mean batch {batch_mean:.1})",
+            "  {conns} connections: {:.0} admissions/s over {} requests (mean batch \
+             {batch_mean:.1})",
             report.admissions_per_sec(),
             report.requests_sent,
         );
         Ok(Cell {
-            mode: mode.to_string(),
             connections: conns,
             lanes,
             rounds,
@@ -1900,22 +1852,18 @@ fn cmd_bench_net_sweep(opts: &Opts) -> Result<(), String> {
         })
     };
 
-    // Thread-server baseline at the smallest rung: the "is the reactor
-    // at C10k at least as fast as threads at C64" yardstick.
-    let baseline = run_cell(ServeMode::Threads, ladder[0])?;
     let mut cells = Vec::with_capacity(ladder.len());
     for &conns in &ladder {
-        cells.push(run_cell(mode, conns)?);
+        cells.push(run_cell(conns)?);
     }
 
     let mut t = TextTable::new([
-        "mode", "conns", "lanes", "requests", "acks", "adm/s", "p50", "p95", "p99", "batch",
+        "conns", "lanes", "requests", "acks", "adm/s", "p50", "p95", "p99", "batch",
     ]);
     let mut cell_json = Vec::new();
-    for cell in std::iter::once(&baseline).chain(&cells) {
+    for cell in &cells {
         let q = cell.report.latency_quantiles_ms(&[0.50, 0.95, 0.99]);
         t.row([
-            cell.mode.clone(),
             cell.connections.to_string(),
             cell.lanes.to_string(),
             cell.report.requests_sent.to_string(),
@@ -1924,17 +1872,12 @@ fn cmd_bench_net_sweep(opts: &Opts) -> Result<(), String> {
             format!("{:.2}ms", q[0]),
             format!("{:.2}ms", q[1]),
             format!("{:.2}ms", q[2]),
-            if cell.batch_mean > 0.0 {
-                format!("{:.1}", cell.batch_mean)
-            } else {
-                "-".to_string()
-            },
+            format!("{:.1}", cell.batch_mean),
         ]);
         cell_json.push(format!(
-            "{{\"mode\":\"{}\",\"connections\":{},\"lanes\":{},\"pipeline\":{},\"rounds\":{},\
+            "{{\"connections\":{},\"lanes\":{},\"pipeline\":{},\"rounds\":{},\
              \"requests\":{},\"connect_acks\":{},\"rejects\":{},\"admissions_per_sec\":{:.1},\
              \"p50_ms\":{:.3},\"p95_ms\":{:.3},\"p99_ms\":{:.3},\"mean_coalesced_batch\":{:.3}}}",
-            cell.mode,
             cell.connections,
             cell.lanes,
             pipeline,
@@ -1952,10 +1895,12 @@ fn cmd_bench_net_sweep(opts: &Opts) -> Result<(), String> {
     println!("{t}");
 
     // Gates.
+    let first = &cells[0];
     let top = cells.last().expect("ladder is never empty");
     let top_p99 = top.report.latency_quantiles_ms(&[0.99])[0];
     let top_rate = top.report.admissions_per_sec();
-    let base_rate = baseline.report.admissions_per_sec();
+    let first_rate = first.report.admissions_per_sec();
+    let top_share = top_rate / first_rate.max(1e-9);
     let mut failures = Vec::new();
     if top_p99 > p99_gate_ms {
         failures.push(format!(
@@ -1963,15 +1908,14 @@ fn cmd_bench_net_sweep(opts: &Opts) -> Result<(), String> {
             top.connections
         ));
     }
-    if top_rate < base_rate {
+    if top_share < TOP_RUNG_MIN_SHARE {
         failures.push(format!(
-            "throughput gate: {top_rate:.0} admissions/s at {} connections is below the \
-             thread-server baseline {base_rate:.0}/s at {} connections",
-            top.connections, baseline.connections
+            "throughput gate: {top_rate:.0} admissions/s at {} connections is below \
+             {TOP_RUNG_MIN_SHARE} × {first_rate:.0}/s at {} connections",
+            top.connections, first.connections
         ));
     }
     let batch_growth = if cells.len() >= 2 && top.batch_mean > 0.0 {
-        let first = &cells[0];
         if top.batch_mean <= first.batch_mean {
             failures.push(format!(
                 "coalescing gate: mean batch {:.2} at {} connections did not grow over {:.2} \
@@ -1986,14 +1930,15 @@ fn cmd_bench_net_sweep(opts: &Opts) -> Result<(), String> {
 
     let gates_json = format!(
         "{{\"p99_gate_ms\":{p99_gate_ms:.1},\"top_p99_ms\":{top_p99:.3},\
-         \"baseline_admissions_per_sec\":{base_rate:.1},\"top_admissions_per_sec\":{top_rate:.1},\
+         \"first_admissions_per_sec\":{first_rate:.1},\"top_admissions_per_sec\":{top_rate:.1},\
+         \"top_to_first_ratio\":{top_share:.3},\"top_rung_min_share\":{TOP_RUNG_MIN_SHARE},\
          \"batch_mean_first\":{},\"batch_mean_top\":{},\"passed\":{}}}",
         batch_growth.map_or("null".into(), |(f, _)| format!("{f:.3}")),
         batch_growth.map_or("null".into(), |(_, l)| format!("{l:.3}")),
         failures.is_empty(),
     );
     let json = format!(
-        "{{\"bench\":\"net\",\"mode\":\"{mode}\",\"ports\":{ports},\
+        "{{\"bench\":\"net\",\"ports\":{ports},\
          \"wavelengths\":{wavelengths},\"pipeline\":{pipeline},\"lanes_per_conn\":{lanes_per_conn},\
          \"cells\":[{}],\"gates\":{gates_json}}}\n",
         cell_json.join(","),
@@ -2008,8 +1953,8 @@ fn cmd_bench_net_sweep(opts: &Opts) -> Result<(), String> {
         ));
     }
     println!(
-        "gates passed: p99 {top_p99:.2}ms ≤ {p99_gate_ms:.0}ms; {top_rate:.0} adm/s ≥ baseline \
-         {base_rate:.0}/s{}",
+        "gates passed: p99 {top_p99:.2}ms ≤ {p99_gate_ms:.0}ms; {top_rate:.0} adm/s = \
+         {top_share:.2} × first rung {first_rate:.0}/s (floor {TOP_RUNG_MIN_SHARE}){}",
         match batch_growth {
             Some((f, l)) => format!("; mean batch {f:.1} → {l:.1}"),
             None => String::new(),
@@ -2020,7 +1965,7 @@ fn cmd_bench_net_sweep(opts: &Opts) -> Result<(), String> {
 
 #[cfg(not(target_os = "linux"))]
 fn cmd_bench_net_sweep(_opts: &Opts) -> Result<(), String> {
-    Err("bench-net --serve-mode sweeps need Linux (epoll load generator)".into())
+    Err("the bench-net sweep needs Linux (epoll load generator)".into())
 }
 
 /// `sim`: deterministic simulation of the sharded admission engine.

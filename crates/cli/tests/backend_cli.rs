@@ -326,3 +326,26 @@ fn serve_listen_on_an_occupied_port_fails_with_context() {
     );
     drop(squatter);
 }
+
+/// `--serve-mode` selected a second TCP server that no longer exists.
+/// Unknown flags are otherwise ignored, so the removed flag must fail
+/// loudly on both commands that took it rather than be dropped.
+#[test]
+fn removed_serve_mode_flag_is_an_error() {
+    for (subcommand, rest) in [
+        ("serve", ["--listen", "127.0.0.1:0"]),
+        ("bench-net", ["--connections", "64"]),
+    ] {
+        let out = wdmcast()
+            .args([subcommand, "--serve-mode", "threads"])
+            .args(rest)
+            .output()
+            .expect("spawn wdmcast");
+        assert!(!out.status.success(), "{subcommand} accepted --serve-mode");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("the epoll reactor is now the only server"),
+            "{subcommand}: {stderr}"
+        );
+    }
+}

@@ -1,10 +1,9 @@
 //! The canonical reject taxonomy.
 //!
 //! Every layer of the stack refuses work for the same small set of
-//! reasons, but historically each layer named them with its own enum:
-//! `AssignmentError` in the assignment, `RouteError` in the three-stage
-//! router, `AdmitError` in the runtime, `RejectReason` on the wire. This
-//! module is the one vocabulary they all map into:
+//! reasons, each under its own name: `AssignmentError` in the
+//! assignment, `RouteError` in the three-stage router, `RejectReason`
+//! on the wire. This module is the one vocabulary they all map into:
 //!
 //! * [`Reject`] — a reject **with evidence** (which endpoint was busy,
 //!   which fault, how many middles were free). This is what backends

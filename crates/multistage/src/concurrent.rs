@@ -85,6 +85,11 @@ pub struct CommitEpoch {
     pub started: u64,
     /// Mutations that have left their commit section.
     pub finished: u64,
+    /// Optimistic commits a racing CAS killed. Each rolled back and
+    /// closed its own started/finished pair, so once writers are quiet
+    /// `started == finished == 2·admitted + aborted` over a
+    /// connect/disconnect churn.
+    pub aborted: u64,
 }
 
 /// Per-input-module striped state: everything only that module's
@@ -142,6 +147,8 @@ pub struct ConcurrentThreeStage {
     /// Seqlock writer counters bracketing every link mutation.
     commits_started: AtomicU64,
     commits_finished: AtomicU64,
+    /// Commits rolled back after a lost CAS (each one epoch pair).
+    commits_aborted: AtomicU64,
     /// Failed components. Mutated only through `&mut self`; read freely
     /// during shared admission (the engine's `RwLock` write epoch is
     /// what makes fault injection stop-the-world).
@@ -214,6 +221,7 @@ impl ConcurrentThreeStage {
             active: AtomicU64::new(0),
             commits_started: AtomicU64::new(0),
             commits_finished: AtomicU64::new(0),
+            commits_aborted: AtomicU64::new(0),
             faults: FaultSet::new(),
             pause_hook: None,
         }
@@ -305,6 +313,7 @@ impl ConcurrentThreeStage {
         CommitEpoch {
             started: self.commits_started.load(Ordering::SeqCst),
             finished: self.commits_finished.load(Ordering::SeqCst),
+            aborted: self.commits_aborted.load(Ordering::SeqCst),
         }
     }
 
@@ -566,6 +575,7 @@ impl ConcurrentThreeStage {
                             .fetch_and(!(1u64 << leg.wavelength), Ordering::AcqRel);
                     }
                     self.release_input_link(module, j, wi);
+                    self.commits_aborted.fetch_add(1, Ordering::SeqCst);
                     self.epoch_finish();
                     return CommitOutcome::Conflict;
                 };
@@ -1069,8 +1079,14 @@ mod tests {
         assert!(total > 0);
         assert_eq!(net.active_connections(), 0);
         assert!(net.check_consistency().is_empty());
+        // Aborted commits close their own epoch pair: on more than one
+        // core commits race and some abort.
         let epoch = net.commit_epoch();
         assert_eq!(epoch.started, epoch.finished);
-        assert_eq!(epoch.started, total as u64 * 2, "one epoch per mutation");
+        assert_eq!(
+            epoch.started,
+            total as u64 * 2 + epoch.aborted,
+            "one epoch per mutation plus one per aborted commit"
+        );
     }
 }

@@ -132,9 +132,7 @@ fn is_timeout_message(msg: &str) -> bool {
         || lower.contains("would block")
 }
 
-/// A reusable, pipelining connection to a [`NetServer`].
-///
-/// [`NetServer`]: crate::NetServer
+/// A reusable, pipelining connection to a wdm-net server.
 pub struct NetClient {
     addr: SocketAddr,
     config: ClientConfig,

@@ -153,6 +153,43 @@ pub fn write_frame_v(
     w.flush()
 }
 
+/// A validated frame header: everything but the payload bytes.
+pub(crate) struct FrameHeader {
+    pub(crate) version: u8,
+    pub(crate) kind: u8,
+    pub(crate) id: u64,
+    /// Declared payload length, already checked against [`MAX_PAYLOAD`].
+    pub(crate) len: usize,
+}
+
+/// Validate a frame header in wire order — magic → version → kind →
+/// payload cap — so every reader rejects a malformed header with the
+/// same typed [`WireError`] before any payload byte is read.
+pub(crate) fn parse_header(header: &[u8; HEADER_LEN]) -> Result<FrameHeader, WireError> {
+    if header[0..2] != MAGIC {
+        return Err(WireError::BadMagic([header[0], header[1]]));
+    }
+    let version = header[2];
+    if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
+        return Err(WireError::UnsupportedVersion(version));
+    }
+    let kind = header[3];
+    if !is_known_kind(kind) {
+        return Err(WireError::UnknownKind(kind));
+    }
+    let id = u64::from_le_bytes(header[4..12].try_into().expect("8 bytes"));
+    let len = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes"));
+    if len as usize > MAX_PAYLOAD {
+        return Err(WireError::Oversized(len));
+    }
+    Ok(FrameHeader {
+        version,
+        kind,
+        id,
+        len: len as usize,
+    })
+}
+
 /// Read one frame. A clean EOF before any header byte is
 /// [`WireError::Closed`]; EOF anywhere inside a frame is
 /// [`WireError::Truncated`].
@@ -174,28 +211,13 @@ pub fn read_frame(r: &mut impl Read) -> Result<RawFrame, WireError> {
             Err(e) => return Err(e.into()),
         }
     }
-    if header[0..2] != MAGIC {
-        return Err(WireError::BadMagic([header[0], header[1]]));
-    }
-    let version = header[2];
-    if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
-        return Err(WireError::UnsupportedVersion(version));
-    }
-    let kind = header[3];
-    if !is_known_kind(kind) {
-        return Err(WireError::UnknownKind(kind));
-    }
-    let id = u64::from_le_bytes(header[4..12].try_into().expect("8 bytes"));
-    let len = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes"));
-    if len as usize > MAX_PAYLOAD {
-        return Err(WireError::Oversized(len));
-    }
-    let mut payload = vec![0u8; len as usize];
+    let header = parse_header(&header)?;
+    let mut payload = vec![0u8; header.len];
     r.read_exact(&mut payload)?;
     Ok(RawFrame {
-        version,
-        kind,
-        id,
+        version: header.version,
+        kind: header.kind,
+        id: header.id,
         payload,
     })
 }

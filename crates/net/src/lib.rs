@@ -14,31 +14,30 @@
 //!   Request`).
 //! * [`codec`] — versioned framing with strict malformed-frame
 //!   rejection ([`WireError`]); decoding never panics on hostile input.
-//! * [`server`] / [`client`] — a multi-threaded [`NetServer`] feeding
-//!   the engine's sharded submit path with per-request write-back,
-//!   backpressure, and graceful drain; and a pipelining [`NetClient`]
-//!   with connection reuse and timeout/retry.
-//! * [`reactor`] *(Linux)* — the event-driven alternative to
-//!   [`NetServer`]: a sharded epoll pool serving tens of thousands of
-//!   connections from a fixed set of threads, coalescing each poll
-//!   cycle's decodable frames into one batched engine submission.
-//!   [`mux`] multiplexes many logical request lanes over one socket so
-//!   load generators reach C100k without C100k descriptors, and
-//!   [`loadgen`] *(Linux)* is the matching epoll-driven closed-loop
-//!   driver.
+//! * [`reactor`] *(Linux)* / [`client`] — the TCP server, a sharded epoll
+//!   pool serving tens of thousands of connections from a fixed set of
+//!   threads, coalescing each poll cycle's decodable frames into one
+//!   batched engine submission, with per-connection backpressure and
+//!   graceful drain; and a pipelining [`NetClient`] with connection
+//!   reuse and timeout/retry. [`mux`] multiplexes many logical request
+//!   lanes over one socket so load generators reach C100k without
+//!   C100k descriptors, and [`loadgen`] *(Linux)* is the matching
+//!   epoll-driven closed-loop driver.
 //!
 //! # Example
 //!
 //! ```
+//! # #[cfg(target_os = "linux")]
+//! # fn main() {
 //! use wdm_core::{Endpoint, MulticastConnection, MulticastModel, NetworkConfig};
 //! use wdm_fabric::CrossbarSession;
-//! use wdm_net::{NetClient, NetServer, NetServerConfig, Request, Response};
+//! use wdm_net::{NetClient, ReactorConfig, ReactorServer, Request, Response};
 //! use wdm_runtime::EngineBuilder;
 //!
 //! let net = NetworkConfig::new(4, 2);
 //! let backend = CrossbarSession::new(net, MulticastModel::Msw);
 //! let engine = EngineBuilder::new().start(backend);
-//! let server = NetServer::serve(engine, "127.0.0.1:0", NetServerConfig::default()).unwrap();
+//! let server = ReactorServer::serve(engine, "127.0.0.1:0", ReactorConfig::default()).unwrap();
 //!
 //! let mut client = NetClient::connect(server.local_addr()).unwrap();
 //! let conn = MulticastConnection::unicast(Endpoint::new(0, 0), Endpoint::new(1, 0));
@@ -49,6 +48,9 @@
 //! ));
 //! let report = server.wait();
 //! assert_eq!(report.summary.blocked, 0);
+//! # }
+//! # #[cfg(not(target_os = "linux"))]
+//! # fn main() {}
 //! ```
 
 pub mod client;
@@ -59,7 +61,6 @@ pub mod mux;
 pub mod protocol;
 #[cfg(target_os = "linux")]
 pub mod reactor;
-pub mod server;
 pub mod transport;
 
 pub use client::{ClientConfig, NetClient, NetClientError};
@@ -70,5 +71,4 @@ pub use mux::MuxClient;
 pub use protocol::{RejectReason, Request, Response, MIN_WIRE_VERSION, WIRE_VERSION};
 #[cfg(target_os = "linux")]
 pub use reactor::{ReactorConfig, ReactorServer, ReactorSnapshot};
-pub use server::{NetServer, NetServerConfig};
 pub use transport::{MemDuplex, Transport};

@@ -3,29 +3,22 @@
 //! wake plumbing that lets engine-shard callbacks hand completed
 //! responses back to the owning event loop.
 //!
-//! The blocking server reads whole frames with `read_frame`; here reads
-//! are nonblocking and arrive in arbitrary chunks, so the
-//! [`FrameAssembler`] buffers bytes and re-runs exactly the same header
-//! validation sequence (magic → version → kind → payload cap) as soon
-//! as a full header is buffered — a malformed header is rejected before
-//! its payload ever arrives, with the same typed [`WireError`]s the
-//! codec produces.
+//! Reads are nonblocking and arrive in arbitrary chunks, so the
+//! [`FrameAssembler`] buffers bytes and runs the codec's header
+//! validation (magic → version → kind → payload cap) as soon as a full
+//! header is buffered — a malformed header is rejected before its
+//! payload ever arrives, with the same typed [`WireError`]s that
+//! `read_frame` produces.
 
 use super::sys::EventFd;
-use crate::codec::{RawFrame, WireError};
-use crate::codec::{HEADER_LEN, MAGIC, MAX_PAYLOAD};
-use crate::protocol::{Response, MIN_WIRE_VERSION, WIRE_VERSION};
+use crate::codec::{parse_header, RawFrame, WireError, HEADER_LEN};
+use crate::protocol::Response;
+#[cfg(test)]
+use crate::{codec::MAX_PAYLOAD, protocol::WIRE_VERSION};
 use parking_lot::Mutex;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// Frame kind bytes the reactor accepts (identical to the codec's
-/// `is_known_kind` set — both sides of the protocol, since a confused
-/// peer may echo responses at us and deserves the same typed error).
-fn is_known_kind(k: u8) -> bool {
-    matches!(k, 0x01..=0x06 | 0x81..=0x87)
-}
 
 /// Reassembles length-prefixed frames from arbitrary read chunks.
 ///
@@ -75,27 +68,11 @@ impl FrameAssembler {
     /// sequence; the connection is desynchronized beyond recovery.
     pub fn next_frame(&mut self) -> Result<Option<RawFrame>, WireError> {
         let avail = &self.buf[self.pos..];
-        if avail.len() < HEADER_LEN {
+        let Some(header) = avail.first_chunk::<HEADER_LEN>() else {
             return Ok(None);
-        }
-        // Same validation order as `codec::read_frame`.
-        if avail[0..2] != MAGIC {
-            return Err(WireError::BadMagic([avail[0], avail[1]]));
-        }
-        let version = avail[2];
-        if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
-            return Err(WireError::UnsupportedVersion(version));
-        }
-        let kind = avail[3];
-        if !is_known_kind(kind) {
-            return Err(WireError::UnknownKind(kind));
-        }
-        let id = u64::from_le_bytes(avail[4..12].try_into().expect("8 bytes"));
-        let len = u32::from_le_bytes(avail[12..16].try_into().expect("4 bytes"));
-        if len as usize > MAX_PAYLOAD {
-            return Err(WireError::Oversized(len));
-        }
-        let total = HEADER_LEN + len as usize;
+        };
+        let header = parse_header(header)?;
+        let total = HEADER_LEN + header.len;
         if avail.len() < total {
             return Ok(None);
         }
@@ -103,9 +80,9 @@ impl FrameAssembler {
         self.pos += total;
         self.compact();
         Ok(Some(RawFrame {
-            version,
-            kind,
-            id,
+            version: header.version,
+            kind: header.kind,
+            id: header.id,
             payload,
         }))
     }

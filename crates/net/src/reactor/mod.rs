@@ -1,9 +1,8 @@
 //! Event-driven serving layer: a sharded epoll reactor with adaptive
 //! batch coalescing.
 //!
-//! The thread-per-connection [`crate::NetServer`] tops out at a few
-//! thousand clients; this reactor serves tens of thousands of
-//! connections from a fixed pool of event-loop threads. Accepted
+//! The reactor is the crate's TCP server. It serves tens of thousands
+//! of connections from a fixed pool of event-loop threads. Accepted
 //! sockets are distributed round-robin across N shards; each shard owns
 //! an epoll instance and runs the classic readiness loop: wait → read
 //! every ready socket dry → decode frames incrementally → write
@@ -16,18 +15,18 @@
 //! [`AdmissionEngine::submit_batch_tracked`] call, which the engine
 //! splits per backend shard and applies under a single backend-lock
 //! acquisition per shard. Under light load a cycle carries one event
-//! and behaves like the thread server; under heavy load a cycle carries
-//! hundreds, so lock traffic grows with *wakeups*, not with *requests*
+//! and costs one submission per request; under heavy load a cycle
+//! carries hundreds, so lock traffic grows with *wakeups*, not with *requests*
 //! — the hotter the socket set, the cheaper each admission gets. No
 //! timer or tuning knob is involved: batch size adapts because epoll
 //! naturally reports more ready sockets per wakeup as load rises.
 //!
-//! Wire semantics match the thread server frame for frame: per-request
-//! wire-version mirroring, in-flight caps answered with
-//! `Backpressure`, malformed frames answered with `ProtocolError` then
-//! close, and `Drain` resolving to a `DrainReport` after the engine
-//! finishes queued work. The differential conformance suite holds the
-//! two servers to identical verdicts on identical traces.
+//! Wire semantics: per-request wire-version mirroring, in-flight caps
+//! answered with `Backpressure`, malformed frames answered with
+//! `ProtocolError` then close, and `Drain` resolving to a `DrainReport`
+//! after the engine finishes queued work. The differential conformance
+//! suite holds the reactor to the in-process engine's verdicts on
+//! identical scripts.
 
 pub(crate) mod conn;
 mod stats;
@@ -122,8 +121,7 @@ impl Default for ReactorConfig {
 }
 
 /// State shared between the acceptor, the shard loops, and engine-shard
-/// callbacks. Mirrors the thread server's `Shared` so drain and
-/// snapshot semantics stay identical.
+/// callbacks.
 struct Shared<B: Backend> {
     engine: RwLock<Option<AdmissionEngine<B>>>,
     report: Mutex<Option<RuntimeReport<B>>>,
@@ -141,10 +139,9 @@ struct ShardHandle {
     thread: JoinHandle<()>,
 }
 
-/// An epoll-based server fronting an [`AdmissionEngine`]. Same public
-/// surface as [`crate::NetServer`]: bind with [`ReactorServer::serve`],
-/// then either [`ReactorServer::wait`] for a client's `Drain` frame or
-/// [`ReactorServer::shutdown`] locally.
+/// An epoll-based server fronting an [`AdmissionEngine`]: bind with
+/// [`ReactorServer::serve`], then either [`ReactorServer::wait`] for a
+/// client's `Drain` frame or [`ReactorServer::shutdown`] locally.
 pub struct ReactorServer<B: Backend> {
     shared: Arc<Shared<B>>,
     acceptor: JoinHandle<()>,
@@ -293,7 +290,7 @@ fn accept_loop<B: Backend>(
 }
 
 /// Answer `Snapshot`: live engine telemetry while serving, the final
-/// summary after a drain — identical policy to the thread server.
+/// summary after a drain.
 fn snapshot_response<B: Backend>(shared: &Shared<B>) -> Response {
     if let Some(engine) = shared.engine.read().as_ref() {
         return Response::Snapshot(engine.snapshot_now());
@@ -533,8 +530,7 @@ impl<B: Backend> Shard<B> {
                     Err(e) => {
                         // The byte stream is desynchronized; explain at
                         // the protocol's own version (the frame header
-                        // is unreliable), then hang up — same policy as
-                        // the thread server.
+                        // is unreliable), then hang up.
                         self.shared
                             .metrics
                             .protocol_errors
@@ -714,7 +710,7 @@ impl<B: Backend> Shard<B> {
     /// Hand the cycle's coalesced events to the engine as one tracked
     /// batch (split per backend shard inside). With the engine gone —
     /// drained by this or another shard — every callback resolves
-    /// inline with `Draining`, matching the thread server's refusals.
+    /// inline with `Draining`, like the engine's own refusals.
     fn flush_batch(&self, batch: &mut CycleBatch) {
         if batch.events.is_empty() {
             return;

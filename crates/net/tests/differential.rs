@@ -1,49 +1,24 @@
-//! Differential conformance: the thread-per-connection [`NetServer`]
-//! and the epoll [`ReactorServer`] are two implementations of one wire
-//! contract, so an identical request script must yield **identical
-//! per-index verdicts** through both — for a strict v1 client and a v2
-//! client, through a drain over the wire, and across mid-script fault
-//! injection and repair. Responses are compared by a normalized
-//! fingerprint (verdict + integer counters; free-text details and
-//! wall-clock fields excluded).
+//! Differential conformance: the epoll [`ReactorServer`] against the
+//! in-process engine it fronts. A request script runs over the wire
+//! and, step by step, through `submit_tracked` / `submit_batch_tracked`
+//! on an engine built the same way; every admission verdict must match
+//! per index — for a strict v1 client and a v2 client, through a drain
+//! over the wire, and across mid-script fault injection and repair.
+//! Responses are compared by a normalized fingerprint (verdict +
+//! integer counters; free-text details and wall-clock fields excluded).
 
 #![cfg(target_os = "linux")]
 
-use std::net::SocketAddr;
+use std::sync::mpsc;
 use wdm_core::{Endpoint, Fault, MulticastConnection, MulticastModel, NetworkConfig};
 use wdm_fabric::CrossbarSession;
 use wdm_multistage::{bounds, Construction, ThreeStageNetwork, ThreeStageParams};
-use wdm_net::{
-    ClientConfig, NetClient, NetServer, NetServerConfig, ReactorConfig, ReactorServer, Request,
-    Response,
+use wdm_net::{ClientConfig, NetClient, ReactorConfig, ReactorServer, Request, Response};
+use wdm_runtime::{
+    AdmissionEngine, Backend, EngineBuilder, HealOutcome, OutcomeCallback, RequestOutcome,
+    RuntimeReport,
 };
-use wdm_runtime::{AdmissionEngine, Backend, EngineBuilder, FaultHandle, RuntimeReport};
-
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Mode {
-    Threads,
-    Reactor,
-}
-
-/// Start `engine` behind the requested serving layer; returns the bound
-/// address and a deferred teardown that yields the final report.
-fn start<B: Backend>(
-    mode: Mode,
-    engine: AdmissionEngine<B>,
-) -> (SocketAddr, Box<dyn FnOnce() -> RuntimeReport<B>>) {
-    match mode {
-        Mode::Threads => {
-            let s = NetServer::serve(engine, "127.0.0.1:0", NetServerConfig::default())
-                .expect("bind threads");
-            (s.local_addr(), Box::new(move || s.wait()))
-        }
-        Mode::Reactor => {
-            let s = ReactorServer::serve(engine, "127.0.0.1:0", ReactorConfig::default())
-                .expect("bind reactor");
-            (s.local_addr(), Box::new(move || s.wait()))
-        }
-    }
-}
+use wdm_workload::{TimedEvent, TraceEvent};
 
 /// Normalize a response to its comparable essence: the verdict and any
 /// integer counters, never free text or wall-clock values.
@@ -83,44 +58,15 @@ enum Step {
     Repair(Fault),
 }
 
-/// Run `script` against a fresh engine from `make_engine` behind `mode`,
-/// sequentially on one connection, and return the transcript of
-/// fingerprints plus the final report's comparable counters.
-fn run_script<B: Backend>(
-    mode: Mode,
-    make_engine: impl Fn() -> AdmissionEngine<B>,
-    wire_version: u8,
-    script: &[Step],
-) -> Vec<String> {
-    let engine = make_engine();
-    let handle: FaultHandle<B> = engine.fault_handle();
-    let (addr, teardown) = start(mode, engine);
-    let config = ClientConfig {
-        wire_version,
-        ..ClientConfig::default()
-    };
-    let mut client = NetClient::connect_with(addr, config).expect("client connects");
-    let mut transcript = Vec::with_capacity(script.len() + 1);
-    for step in script {
-        match step {
-            Step::Call(req) => {
-                let resp = client.call(req).expect("round trip");
-                transcript.push(fingerprint(&resp));
-            }
-            Step::Inject(fault) => {
-                let heal = handle.inject(*fault);
-                transcript.push(format!(
-                    "inject:hit={}:healed={}:failed={}",
-                    heal.connections_hit, heal.healed, heal.heal_failed
-                ));
-            }
-            Step::Repair(fault) => {
-                transcript.push(format!("repair:{}", handle.repair(*fault)));
-            }
-        }
-    }
-    let report = teardown();
-    transcript.push(format!(
+fn heal_line(heal: &HealOutcome) -> String {
+    format!(
+        "inject:hit={}:healed={}:failed={}",
+        heal.connections_hit, heal.healed, heal.heal_failed
+    )
+}
+
+fn report_line<B: Backend>(report: &RuntimeReport<B>) -> String {
+    format!(
         "report:clean={}:offered={}:admitted={}:blocked={}:departed={}:panics={}",
         report.is_clean(),
         report.summary.offered,
@@ -128,8 +74,111 @@ fn run_script<B: Backend>(
         report.summary.blocked,
         report.summary.departed,
         report.worker_panics,
-    ));
+    )
+}
+
+/// Run `script` against a fresh engine from `make_engine` behind the
+/// reactor, sequentially on one connection, and return the transcript
+/// of fingerprints plus the final report's comparable counters.
+fn run_reactor<B: Backend>(
+    make_engine: impl Fn() -> AdmissionEngine<B>,
+    wire_version: u8,
+    script: &[Step],
+) -> Vec<String> {
+    let engine = make_engine();
+    let handle = engine.fault_handle();
+    let server =
+        ReactorServer::serve(engine, "127.0.0.1:0", ReactorConfig::default()).expect("bind");
+    let config = ClientConfig {
+        wire_version,
+        ..ClientConfig::default()
+    };
+    let mut client = NetClient::connect_with(server.local_addr(), config).expect("connects");
+    let mut transcript = Vec::with_capacity(script.len() + 1);
+    for step in script {
+        transcript.push(match step {
+            Step::Call(req) => fingerprint(&client.call(req).expect("round trip")),
+            Step::Inject(fault) => heal_line(&handle.inject(*fault)),
+            Step::Repair(fault) => format!("repair:{}", handle.repair(*fault)),
+        });
+    }
+    transcript.push(report_line(&server.wait()));
     transcript
+}
+
+/// A completion callback and the channel its outcome arrives on.
+fn tracked() -> (OutcomeCallback, mpsc::Receiver<RequestOutcome>) {
+    let (tx, rx) = mpsc::channel();
+    let done: OutcomeCallback = Box::new(move |outcome| {
+        let _ = tx.send(outcome);
+    });
+    (done, rx)
+}
+
+fn verdict(rx: &mpsc::Receiver<RequestOutcome>) -> Response {
+    Response::from_outcome(rx.recv().expect("callback fires"))
+}
+
+/// Run `script` in-process on a fresh engine from `make_engine`: each
+/// Connect/Disconnect through `submit_tracked`, each BatchConnect
+/// through `submit_batch_tracked`, faults through the same handle
+/// calls. A `Drain` step stops intake with `begin_drain`; Ping,
+/// Snapshot and Drain have no in-process verdict (`None`) and are
+/// checked by explicit per-index asserts instead.
+fn run_in_process<B: Backend>(
+    make_engine: impl Fn() -> AdmissionEngine<B>,
+    script: &[Step],
+) -> Vec<Option<String>> {
+    let engine = make_engine();
+    let handle = engine.fault_handle();
+    let mut transcript = Vec::with_capacity(script.len() + 1);
+    for (i, step) in script.iter().enumerate() {
+        let time = i as f64;
+        let single = |event| {
+            let (done, rx) = tracked();
+            let _ = engine.submit_tracked(TimedEvent { time, event }, done);
+            Some(fingerprint(&verdict(&rx)))
+        };
+        transcript.push(match step {
+            Step::Call(Request::Connect(c)) => single(TraceEvent::Connect(c.clone())),
+            Step::Call(Request::Disconnect(src)) => single(TraceEvent::Disconnect(*src)),
+            Step::Call(Request::BatchConnect(conns)) => {
+                let (events, (callbacks, rxs)): (Vec<_>, (Vec<_>, Vec<_>)) = conns
+                    .iter()
+                    .map(|c| {
+                        let event = TraceEvent::Connect(c.clone());
+                        (TimedEvent { time, event }, tracked())
+                    })
+                    .unzip();
+                let _ = engine.submit_batch_tracked(events, callbacks);
+                let items = rxs.iter().map(verdict).collect();
+                Some(fingerprint(&Response::Batch(items)))
+            }
+            Step::Call(Request::Drain) => {
+                engine.begin_drain();
+                None
+            }
+            Step::Call(Request::Ping | Request::Snapshot) => None,
+            Step::Inject(fault) => Some(heal_line(&handle.inject(*fault))),
+            Step::Repair(fault) => Some(format!("repair:{}", handle.repair(*fault))),
+        });
+    }
+    transcript.push(Some(report_line(&engine.drain())));
+    transcript
+}
+
+/// Every step with an in-process verdict must read the same over the
+/// wire.
+fn assert_matches_engine(reactor: &[String], engine: &[Option<String>]) {
+    assert_eq!(reactor.len(), engine.len());
+    for (i, (wire, reference)) in reactor.iter().zip(engine).enumerate() {
+        if let Some(reference) = reference {
+            assert_eq!(
+                wire, reference,
+                "step {i}: reactor disagrees with the in-process engine: {reactor:?}"
+            );
+        }
+    }
 }
 
 fn unicast(sp: u32, sw: u32, dp: u32, dw: u32) -> MulticastConnection {
@@ -186,62 +235,60 @@ fn conformance_script(wire_version: u8) -> Vec<Step> {
 }
 
 #[test]
-fn threads_and_reactor_agree_on_the_conformance_script() {
+fn reactor_matches_engine_on_the_conformance_script() {
     let make_engine = || {
         let backend = CrossbarSession::new(NetworkConfig::new(4, 2), MulticastModel::Msw);
         EngineBuilder::new().shards(2).start(backend)
     };
     for wire_version in [1u8, 2] {
         let script = conformance_script(wire_version);
-        let threads = run_script(Mode::Threads, make_engine, wire_version, &script);
-        let reactor = run_script(Mode::Reactor, make_engine, wire_version, &script);
-        assert_eq!(
-            threads, reactor,
-            "serve modes disagree at wire v{wire_version}"
-        );
+        let reactor = run_reactor(make_engine, wire_version, &script);
+        let engine = run_in_process(make_engine, &script);
+        assert_matches_engine(&reactor, &engine);
         // Spot-check the transcript is the one we scripted, not two
-        // servers agreeing on garbage.
-        assert_eq!(threads[0], "pong");
-        assert_eq!(threads[1], "ok");
-        assert_eq!(threads[2], "ok");
-        assert!(threads[3].starts_with("rejected:Fatal"), "{threads:?}");
-        assert!(threads[4].starts_with("rejected:Busy"), "{threads:?}");
+        // paths agreeing on garbage.
+        assert_eq!(reactor[0], "pong");
+        assert_eq!(reactor[1], "ok");
+        assert_eq!(reactor[2], "ok");
+        assert!(reactor[3].starts_with("rejected:Fatal"), "{reactor:?}");
+        assert!(reactor[4].starts_with("rejected:Busy"), "{reactor:?}");
         assert!(
-            threads[5].starts_with("rejected:UnknownSource"),
-            "{threads:?}"
+            reactor[5].starts_with("rejected:UnknownSource"),
+            "{reactor:?}"
         );
         for i in 6..10 {
-            assert_eq!(threads[i], "ok", "step {i}: {threads:?}");
+            assert_eq!(reactor[i], "ok", "step {i}: {reactor:?}");
         }
         if wire_version >= 2 {
             assert!(
-                threads[10].starts_with("batch:[ok,rejected:"),
-                "{threads:?}"
+                reactor[10].starts_with("batch:[ok,rejected:"),
+                "{reactor:?}"
             );
             assert!(
-                threads[11].starts_with("rejected:UnknownSource"),
-                "{threads:?}"
+                reactor[11].starts_with("rejected:UnknownSource"),
+                "{reactor:?}"
             );
-            assert_eq!(threads[12], "ok", "{threads:?}");
+            assert_eq!(reactor[12], "ok", "{reactor:?}");
         }
         let drain_at = if wire_version >= 2 { 13 } else { 10 };
-        assert!(threads[drain_at].starts_with("drain:"), "{threads:?}");
-        assert_eq!(threads[drain_at + 1], "rejected:Draining");
-        assert_eq!(threads[drain_at + 2], threads[drain_at], "drain idempotent");
-        assert_eq!(threads[drain_at + 3], "snapshot");
+        assert!(reactor[drain_at].starts_with("drain:"), "{reactor:?}");
+        assert_eq!(reactor[drain_at + 1], "rejected:Draining");
+        assert_eq!(reactor[drain_at + 2], reactor[drain_at], "drain idempotent");
+        assert_eq!(reactor[drain_at + 3], "snapshot");
         assert!(
-            threads.last().unwrap().starts_with("report:"),
-            "{threads:?}"
+            reactor.last().unwrap().starts_with("report:"),
+            "{reactor:?}"
         );
     }
 }
 
 /// Fault differential: a three-stage fabric with one middle switch of
 /// slack loses a middle switch mid-script, serves through the degraded
-/// window, and is repaired — the two serving layers must report the
-/// same heal outcome and the same verdicts before, during, and after.
+/// window, and is repaired — the reactor must report the same heal
+/// outcome and the same verdicts as the in-process engine before,
+/// during, and after.
 #[test]
-fn threads_and_reactor_agree_under_fault_injection() {
+fn reactor_matches_engine_under_fault_injection() {
     let (n, r, k) = (4u32, 4u32, 2u32);
     let m = bounds::theorem1_min_m(n, r).m + 1;
     let make_engine = move || {
@@ -265,13 +312,14 @@ fn threads_and_reactor_agree_under_fault_injection() {
         Step::Call(Request::Disconnect(Endpoint::new(3, 0))),
         Step::Call(Request::Drain),
     ];
-    let threads = run_script(Mode::Threads, make_engine, 2, &script);
-    let reactor = run_script(Mode::Reactor, make_engine, 2, &script);
-    assert_eq!(threads, reactor, "serve modes disagree under faults");
-    assert_eq!(threads[0], "ok");
-    assert_eq!(threads[1], "ok");
-    assert!(threads[2].starts_with("inject:hit="), "{threads:?}");
-    assert_eq!(threads[3], "ok", "degraded fabric above the bound admits");
-    assert_eq!(threads[6], "repair:true", "{threads:?}");
-    assert_eq!(threads[7], "ok", "repaired fabric admits");
+    let reactor = run_reactor(make_engine, 2, &script);
+    let engine = run_in_process(make_engine, &script);
+    assert_matches_engine(&reactor, &engine);
+    assert_eq!(reactor[0], "ok");
+    assert_eq!(reactor[1], "ok");
+    assert!(reactor[2].starts_with("inject:hit="), "{reactor:?}");
+    assert_eq!(reactor[3], "ok", "degraded fabric above the bound admits");
+    assert_eq!(reactor[6], "repair:true", "{reactor:?}");
+    assert_eq!(reactor[7], "ok", "repaired fabric admits");
+    assert!(reactor[10].starts_with("drain:clean=true"), "{reactor:?}");
 }

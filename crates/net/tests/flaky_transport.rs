@@ -3,11 +3,13 @@
 //! up, and must give up with the transport error — not hang — when it
 //! never does.
 
+#![cfg(target_os = "linux")]
+
 use std::net::TcpListener;
 use std::thread;
 use std::time::{Duration, Instant};
 use wdm_core::{MulticastModel, NetworkConfig};
-use wdm_net::{ClientConfig, NetClient, NetClientError, NetServer, NetServerConfig};
+use wdm_net::{ClientConfig, NetClient, NetClientError, ReactorConfig, ReactorServer};
 use wdm_runtime::EngineBuilder;
 
 fn flaky_config() -> ClientConfig {
@@ -36,7 +38,7 @@ fn client_backs_off_through_a_late_server() {
         let net = NetworkConfig::new(4, 2);
         let backend = wdm_fabric::CrossbarSession::new(net, MulticastModel::Msw);
         let engine = EngineBuilder::new().start(backend);
-        NetServer::serve(engine, addr, NetServerConfig::default()).expect("late bind")
+        ReactorServer::serve(engine, addr, ReactorConfig::default()).expect("late bind")
     });
 
     let started = Instant::now();

@@ -1,12 +1,11 @@
-//! Reactor-mode counterpart of `loopback.rs`: the same end-to-end
-//! acceptance contract — a multi-client trace replay at the Theorem-1
-//! bound drains clean with zero blocks and server-counted admissions
-//! equal to client-counted acks — but served by the epoll
-//! [`ReactorServer`] instead of the thread-per-connection server. The
-//! reactor-specific behaviors ride along: coalescing telemetry is live,
-//! the in-flight cap sheds with `Backpressure`, and malformed frames,
-//! drains, v1 clients, and wire batches all match the thread server's
-//! verdicts frame for frame.
+//! End-to-end acceptance test for the epoll [`ReactorServer`]: a
+//! multi-client trace replay at the Theorem-1 bound drains clean with
+//! zero blocks and server-counted admissions equal to client-counted
+//! acks. The serving-layer behaviors ride along: coalescing telemetry
+//! is live, the in-flight cap sheds with `Backpressure`, a stalled
+//! partial frame holds up no other client, and malformed frames,
+//! drains, v1 clients, and wire batches all get their contracted
+//! replies.
 
 #![cfg(target_os = "linux")]
 
@@ -154,9 +153,9 @@ fn reactor_drain_refuses_new_connects_with_draining() {
     assert!(report.is_clean());
 }
 
-/// Two `Drain` frames on one connection answer with the same completed
-/// summary — the reactor's drain is idempotent like the thread
-/// server's.
+/// Two `Drain` frames on one connection: the first consumes the engine,
+/// the second must answer with the *same* completed summary rather
+/// than hanging, erroring, or re-draining.
 #[test]
 fn reactor_drain_frame_twice_is_idempotent() {
     let server = serve_crossbar(4, 2, ReactorConfig::default());
@@ -190,6 +189,7 @@ fn reactor_drain_frame_twice_is_idempotent() {
     assert_eq!(first.offered, second.offered);
     assert_eq!(first.admitted, second.admitted);
     assert_eq!(first.departed, second.departed);
+    assert_eq!(first.orphaned_departures, second.orphaned_departures);
     assert_eq!(first.admitted, 1);
     assert_eq!(first.departed, 1);
 
@@ -220,8 +220,7 @@ fn reactor_malformed_frame_gets_protocol_error_then_close() {
 }
 
 /// A strict v1 client round-trips against the v2 reactor unchanged:
-/// the reactor mirrors each request frame's version like the thread
-/// server does.
+/// the reactor mirrors each request frame's version in its reply.
 #[test]
 fn reactor_v1_client_round_trips_against_v2_server() {
     assert_eq!(wdm_net::WIRE_VERSION, 2);
@@ -328,4 +327,56 @@ fn reactor_inflight_cap_sheds_with_backpressure() {
     let report = server.shutdown();
     assert!(report.is_clean());
     assert_eq!(report.summary.offered, 0, "nothing reached the engine");
+}
+
+/// Slowloris: a peer that sends 15 of a frame header's 16 bytes and
+/// then stalls must not hold up anyone else. The reactor buffers the
+/// partial header and keeps serving its other sockets; a second client
+/// still finishes its round trips promptly and the drain is clean.
+#[test]
+fn reactor_stalled_partial_header_does_not_block_other_clients() {
+    use std::io::Write;
+    use std::time::{Duration, Instant};
+    let server = serve_crossbar(4, 2, ReactorConfig::default());
+    let mut stalled = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    let ping = wdm_net::codec::encode_request(1, &Request::Ping);
+    stalled
+        .write_all(&ping[..wdm_net::HEADER_LEN - 1])
+        .expect("write partial header");
+
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    let conn = MulticastConnection::unicast(Endpoint::new(0, 0), Endpoint::new(1, 0));
+    let started = Instant::now();
+    for round in 0..100 {
+        assert_eq!(
+            client
+                .call(&Request::Connect(conn.clone()))
+                .expect("connect"),
+            Response::Ok,
+            "round {round}"
+        );
+        assert_eq!(
+            client
+                .call(&Request::Disconnect(conn.source()))
+                .expect("disconnect"),
+            Response::Ok,
+            "round {round}"
+        );
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(10),
+        "100 round trips took {elapsed:?} beside a stalled peer"
+    );
+    match client.drain().expect("drain") {
+        Response::DrainReport { clean, summary } => {
+            assert!(clean, "drain not clean");
+            assert_eq!(summary.admitted, 100);
+        }
+        other => panic!("expected DrainReport, got {other:?}"),
+    }
+    let report = server.wait();
+    assert!(report.is_clean());
+    assert_eq!(report.summary.admitted, 100);
+    drop(stalled);
 }

@@ -66,8 +66,8 @@ fn c10k_lanes_zero_blocks_at_theorem1_bound() {
     assert!(stats.coalesced_batches > 0, "{stats:?}");
     assert_eq!(stats.coalesced_events, report.requests_sent, "{stats:?}");
     // Ten thousand concurrent lanes must actually coalesce: cycles
-    // carry multiple admissions on average, the whole point of the
-    // reactor over the thread server.
+    // carry multiple admissions on average, so the backend lock is
+    // taken per cycle rather than per request.
     assert!(
         stats.coalesced_batch_mean > 1.0,
         "no coalescing under C10k load: {stats:?}"

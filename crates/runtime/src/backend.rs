@@ -18,11 +18,6 @@ use wdm_fabric::CrossbarSession;
 use wdm_graph::GraphNetwork;
 use wdm_multistage::{AwgClosNetwork, ConcurrentThreeStage, ThreeStageNetwork};
 
-/// Former runtime-local error enum, now unified into the canonical
-/// taxonomy. Use [`wdm_core::Reject`] directly.
-#[deprecated(since = "0.5.0", note = "use wdm_core::Reject")]
-pub type AdmitError = Reject;
-
 /// Whether a backend can rearrange existing routes to admit a blocked
 /// request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

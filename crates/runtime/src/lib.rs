@@ -81,8 +81,6 @@ mod engine;
 mod injector;
 mod metrics;
 
-#[allow(deprecated)]
-pub use backend::AdmitError;
 pub use backend::{Backend, ConcurrentAdmission, RepackStats, RepackSupport};
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use engine::{

@@ -95,6 +95,7 @@ fn racing_commit_on_same_middle_word_forces_retry() {
     // Exactly one aborted commit: epoch pairs = 2 admissions + 1 abort.
     let epoch = net.commit_epoch();
     assert_eq!(epoch.started, 3, "expected exactly one rolled-back commit");
+    assert_eq!(epoch.aborted, 1);
     assert_eq!(epoch.started, epoch.finished);
     assert_eq!(net.active_connections(), 2);
     assert!(net.check_consistency().is_empty());
@@ -160,6 +161,7 @@ fn killed_multiword_commit_rolls_back_newest_first() {
 
     let epoch = net.commit_epoch();
     assert_eq!(epoch.started, 3, "expected exactly one rolled-back commit");
+    assert_eq!(epoch.aborted, 1);
     assert_eq!(epoch.started, epoch.finished);
     assert!(net.check_consistency().is_empty());
 
@@ -230,8 +232,8 @@ fn seeded_two_thread_storm_never_leaks() {
         assert_eq!(epoch.started, epoch.finished, "seed {seed}: epoch torn");
         // 2 threads × ROUNDS × (connect + disconnect) epoch pairs, plus
         // one pair per killed commit.
-        assert!(epoch.started >= 4 * ROUNDS, "seed {seed}");
-        killed_commits += epoch.started - 4 * ROUNDS;
+        assert_eq!(epoch.started, 4 * ROUNDS + epoch.aborted, "seed {seed}");
+        killed_commits += epoch.aborted;
         assert_eq!(net.active_connections(), 0, "seed {seed}");
         assert!(
             net.middle_loads().iter().all(|&l| l == 0),
